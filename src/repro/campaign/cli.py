@@ -90,6 +90,33 @@ def _split_csv(text: str) -> "list[str]":
     return [token.strip() for token in text.split(",") if token.strip()]
 
 
+def _bounded_int(text: str, least: int) -> int:
+    """``text`` as an int no smaller than ``least`` (argparse type)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _bounded_int(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _bounded_int(text, 0)
+
+
+def _positive_int_csv(text: str) -> "list[int]":
+    """``"8,16"`` -> ``[8, 16]``; every entry a positive int."""
+    values = [_positive_int(token) for token in _split_csv(text)]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
+
+
 #: Pseudo-workload names that require ``--seed``.
 SEEDED_WORKLOADS = ("random-soc", "random-cores")
 
@@ -585,9 +612,6 @@ def cmd_optimize(args) -> int:
             f"pass --bus-width"
         )
         raise ConfigurationError(message)
-    widths = None
-    if args.widths:
-        widths = [int(token) for token in _split_csv(args.widths)]
     method = args.method
     if method == "auto":
         if args.portfolio is not None or args.jobs > 1:
@@ -609,7 +633,7 @@ def cmd_optimize(args) -> int:
         workload.cores,
         width,
         method=method,
-        widths=widths,
+        widths=args.widths,
         cas_policy=args.policy,
         seed=args.seed,
         restarts=args.restarts,
@@ -626,6 +650,8 @@ def cmd_optimize(args) -> int:
             "method": outcome.method,
             "bus_width": width,
             "evaluations": outcome.evaluations,
+            "lower_bound": outcome.lower_bound,
+            "gap": outcome.gap,
             "cache_stats": outcome.cache_stats,
             "pareto": [point.to_dict() for point in outcome.pareto],
         }
@@ -636,11 +662,15 @@ def cmd_optimize(args) -> int:
             f"{outcome.total_cycles} total cycles "
             f"({outcome.evaluations} session evaluations)"
         )
+        console.result(
+            f"certified floor: {outcome.lower_bound} cycles "
+            f"(gap {100 * outcome.gap:.2f}%)"
+        )
         model_stats = outcome.cache_stats.get("cost_model")
         if model_stats:
             console.result(
-                "cost-model cache: {hits} hits / {misses} misses "
-                "({entries} entries)".format(**model_stats)
+                "cost table: {misses} rows built, {hits} row reads "
+                "served ({entries} cells)".format(**model_stats)
             )
         rows = [_pareto_row(point, width) for point in outcome.pareto]
         title = "Pareto front (bus width / config bits / total cycles)"
@@ -859,12 +889,13 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "-w",
         "--bus-width",
-        type=int,
+        type=_positive_int,
         default=None,
         help="pin budget N (default: the workload's own width)",
     )
     optimize.add_argument(
         "--widths",
+        type=_positive_int_csv,
         default=None,
         help="comma list of candidate widths (default: powers of two up "
         "to N)",
@@ -886,20 +917,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument(
         "--restarts",
-        type=int,
+        type=_positive_int,
         default=1,
         help="independent anneal restarts per width (anneal method)",
     )
     optimize.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the portfolio; changes wall-clock "
         "only, never the result",
     )
     optimize.add_argument(
         "--budget",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="total per-width move budget for the portfolio, split "
         "across its units and rounds",

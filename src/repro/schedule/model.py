@@ -11,8 +11,8 @@ This module is the single source of truth they all migrated onto:
 * :class:`TamProblem` -- the immutable problem statement: the cores,
   the pin budget N, and the CAS instruction-sizing policy;
 * :class:`CostModel` -- test- and config-cycle accounting for one
-  problem, memoised so optimisers can evaluate thousands of candidate
-  schedules cheaply;
+  problem over a dense per-core width->cycles table, so optimisers can
+  evaluate thousands of candidate schedules cheaply;
 * the schedule IR (:class:`ScheduledEntry`, :class:`ScheduledSession`,
   :class:`Schedule`) every session-based policy emits.
 
@@ -26,6 +26,7 @@ once.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -185,15 +186,23 @@ class TamProblem:
 class CostModel:
     """Test- and config-cycle accounting for one :class:`TamProblem`.
 
-    All costs are memoised: optimisers evaluate thousands of candidate
-    sessions against one model, and the CAS register-bit total (which
-    needs the instruction-count closed forms) is computed once instead
-    of once per session.
+    The optimisers' hot path reads a dense, immutable per-core table:
+    :meth:`row` ``(i)[w - 1]`` is the test cycles of core ``i`` (by
+    position in :attr:`TamProblem.cores`) on ``w`` wires, for
+    ``w = 1 .. port width``.  Each row is a tuple built the first time
+    its core is read, so models that touch a few cores (the greedy and
+    LPT schedulers, the verifier) never pay for the whole table.  The
+    per-session configuration cost and the CAS register-bit total are
+    memoised too, so thousands of candidate sessions price cheaply.
     """
 
     def __init__(self, problem: TamProblem) -> None:
         self.problem = problem
-        self._core_cycles: dict[tuple[CoreTestParams, int], int] = {}
+        count = len(problem.cores)
+        self._rows: list[tuple[int, ...] | None] = [None] * count
+        self._min_areas: list[int | None] = [None] * count
+        self._positions: dict[CoreTestParams, int] | None = None
+        self._session_config: dict[int, int] = {}
         self._cas_bits: int | None = None
         # Instance-scoped obs counters, deliberately NOT registry-
         # routed: the reported stats must be a pure function of the
@@ -201,6 +210,7 @@ class CostModel:
         # across --jobs 1 vs --jobs 4), never of global obs state.
         self._hits = Counter()
         self._misses = Counter()
+        self._cells = 0
 
     # -- width normalisation (the one copy) --------------------------------
 
@@ -221,41 +231,62 @@ class CostModel:
     # -- test-cycle accounting ---------------------------------------------
 
     def core_cycles(self, params: CoreTestParams, wires: int) -> int:
-        """Memoised :func:`repro.schedule.timing.core_test_cycles`."""
-        key = (params, self.effective_wires(params, wires))
-        cached = self._core_cycles.get(key)
-        if cached is None:
-            cached = core_test_cycles(params, key[1])
-            self._core_cycles[key] = cached
-            self._misses.inc()
-        else:
-            self._hits.inc()
-        return cached
+        """:func:`repro.schedule.timing.core_test_cycles` at the
+        effective width (the closed form; the table is :meth:`row`)."""
+        return core_test_cycles(params, self.effective_wires(params, wires))
+
+    def row(self, index: int) -> tuple[int, ...]:
+        """Cycles of core ``index`` on ``1 .. port width`` wires.
+
+        Nonincreasing in the width; built on first read and immutable.
+        """
+        row = self._rows[index]
+        if row is None:
+            return self._build_row(index)
+        self._hits.inc()
+        return row
+
+    def _build_row(self, index: int) -> tuple[int, ...]:
+        core = self.problem.cores[index]
+        row = tuple(
+            core_test_cycles(core, wires)
+            for wires in range(1, self.port_width(core) + 1)
+        )
+        self._rows[index] = row
+        self._misses.inc()
+        self._cells += len(row)
+        return row
+
+    def min_area(self, index: int) -> int:
+        """Smallest wires-times-time area of core ``index``.
+
+        The admissible per-core work term of every packing bound: no
+        legal allocation tests the core in less bus area.
+        """
+        area = self._min_areas[index]
+        if area is None:
+            area = min(
+                wires * cycles
+                for wires, cycles in enumerate(self.row(index), 1)
+            )
+            self._min_areas[index] = area
+        return area
 
     def stats(self) -> dict:
-        """Memoisation effectiveness counters (JSON-ready).
+        """Cost-table effectiveness counters (JSON-ready).
 
         A view over the model's :class:`repro.obs.metrics.Counter`
-        instances: ``hits``/``misses`` count :meth:`core_cycles`
-        lookups; ``entries`` is the resident cache size.  Surfaced by
-        ``repro optimize --json`` so cache sharing is observable
-        rather than assumed.
+        instances: ``misses`` counts rows built, ``hits`` counts row
+        reads served by an already-built row, and ``entries`` is the
+        number of resident table cells.  Surfaced by
+        ``repro optimize --json`` so table sharing is observable rather
+        than assumed.
         """
         return {
             "hits": self._hits.value,
             "misses": self._misses.value,
-            "entries": len(self._core_cycles),
+            "entries": self._cells,
         }
-
-    def session_cycles(
-        self, allocation: Iterable[tuple[CoreTestParams, int]]
-    ) -> int:
-        """Makespan of one concurrent group under a wire allocation."""
-        return max(
-            (self.core_cycles(params, wires)
-             for params, wires in allocation),
-            default=0,
-        )
 
     # -- config-cycle accounting -------------------------------------------
 
@@ -279,8 +310,13 @@ class CostModel:
 
     def session_config_cycles(self, num_tested: int) -> int:
         """Config cost of one session: stage A + stage B with
-        ``num_tested`` wrapper instruction registers spliced."""
-        return two_stage_config_cycles(self.cas_bits, num_tested)
+        ``num_tested`` wrapper instruction registers spliced
+        (memoised per session size)."""
+        cycles = self._session_config.get(num_tested)
+        if cycles is None:
+            cycles = two_stage_config_cycles(self.cas_bits, num_tested)
+            self._session_config[num_tested] = cycles
+        return cycles
 
     def boundary_config_cycles(self) -> int:
         """Per-boundary cost of a preemptive reconfiguration (at least
@@ -316,86 +352,57 @@ class CostModel:
         exact optimisers find exactly those allocations, so the bound
         must be sound.)
         """
-        work = 0
-        widest = 0
-        for core in self.problem.cores:
-            widest = max(
-                widest, self.core_cycles(core, self.problem.bus_width)
-            )
-            work += min(
-                wires * self.core_cycles(core, wires)
-                for wires in range(1, self.port_width(core) + 1)
-            )
+        indices = range(len(self.problem.cores))
+        widest = max((self.row(i)[-1] for i in indices), default=0)
+        work = sum(self.min_area(i) for i in indices)
         return max(widest, math.ceil(work / self.problem.bus_width))
 
     # -- optimal wire split of one concurrent group ------------------------
+
+    def _position(self, params: CoreTestParams) -> int:
+        """Row index of a problem core (equal cores share a row)."""
+        if self._positions is None:
+            self._positions = {}
+            for index, core in enumerate(self.problem.cores):
+                self._positions.setdefault(core, index)
+        try:
+            return self._positions[params]
+        except KeyError:
+            raise ScheduleError(
+                f"core {params.name!r} is not part of the problem"
+            ) from None
+
+    def group_makespan(self, indices: Sequence[int]) -> int | None:
+        """Minimum makespan of the cores at ``indices`` sharing the bus.
+
+        The index API of :meth:`optimal_session`: the same search, but
+        no session objects -- the optimisers' hot path.  ``None`` when
+        the group is empty or wider than the bus.
+        """
+        if not indices or len(indices) > self.problem.bus_width:
+            return None
+        return _least_makespan(
+            [self.row(index) for index in indices], self.problem.bus_width
+        )
 
     def optimal_session(
         self, group: Sequence[CoreTestParams]
     ) -> ScheduledSession | None:
         """Minimum-makespan wire split for one group, or ``None``.
 
-        Parametric search: makespans are drawn from the finite set of
-        per-core cycle counts, feasibility (can every core reach the
-        target makespan within N wires) is monotone in the target, so
-        a binary search over the candidate values finds the optimum
-        without enumerating wire splits.  Equivalent to -- and
-        replaces -- exhaustive split enumeration.
+        Each core takes the narrowest allocation that meets the least
+        feasible makespan (see :func:`_least_makespan`).  ``None`` when
+        the group is empty or wider than the bus (every core needs at
+        least one wire).
         """
-        width = self.problem.bus_width
-        if len(group) > width:
-            return None  # every core needs at least one wire
-        if not group:
+        if not group or len(group) > self.problem.bus_width:
             return None
-        # cycles_at[c][w-1]: cycles of core c on w wires (nonincreasing).
-        cycles_at: list[list[int]] = []
-        floors: list[int] = []
-        for core in group:
-            limit = self.port_width(core)
-            row = [self.core_cycles(core, w) for w in range(1, limit + 1)]
-            cycles_at.append(row)
-            floors.append(row[-1])
-        lowest = max(floors)  # no split beats every core's own floor
-
-        def min_wires(target: int) -> int | None:
-            """Fewest wires meeting ``target`` everywhere, or None."""
-            total = 0
-            for row in cycles_at:
-                if row[-1] > target:
-                    return None
-                # First (narrowest) allocation achieving the target;
-                # rows are short (<= N), linear scan beats bisect setup.
-                for wires0, cycles in enumerate(row):
-                    if cycles <= target:
-                        total += wires0 + 1
-                        break
-            return total
-
-        # Non-empty: the row owning the max floor contributes ``lowest``.
-        candidates = sorted(
-            {value for row in cycles_at for value in row if value >= lowest}
-        )
-        lo, hi = 0, len(candidates) - 1
-        best_target: int | None = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            needed = min_wires(candidates[mid])
-            if needed is not None and needed <= width:
-                best_target = candidates[mid]
-                hi = mid - 1
-            else:
-                lo = mid + 1
-        if best_target is None:
-            return None
-        entries = []
-        for core, row in zip(group, cycles_at):
-            for wires0, cycles in enumerate(row):
-                if cycles <= best_target:
-                    entries.append(
-                        ScheduledEntry(params=core, wires=wires0 + 1)
-                    )
-                    break
-        return ScheduledSession(entries=tuple(entries))
+        rows = [self.row(self._position(core)) for core in group]
+        target = _least_makespan(rows, self.problem.bus_width)
+        return ScheduledSession(entries=tuple(
+            ScheduledEntry(params=core, wires=_narrowest(row, target))
+            for core, row in zip(group, rows)
+        ))
 
     def schedule_from_groups(
         self,
@@ -421,6 +428,37 @@ class CostModel:
         return (f"CostModel(N={self.problem.bus_width}, "
                 f"{len(self.problem.cores)} cores, "
                 f"policy={self.problem.cas_policy!r})")
+
+
+def _narrowest(row: Sequence[int], target: int) -> int:
+    """Fewest wires at which a nonincreasing cost row meets
+    ``target`` (callers guarantee ``row[-1] <= target``)."""
+    return next(
+        wires for wires, cycles in enumerate(row, 1) if cycles <= target
+    )
+
+
+def _least_makespan(rows: Sequence[Sequence[int]], width: int) -> int:
+    """Least makespan the cores behind ``rows`` reach within ``width``
+    wires (callers guarantee ``len(rows) <= width``: one wire each).
+
+    Parametric search in closed form.  A core meets a target ``t`` no
+    lower than its floor ``row[-1]`` on one wire plus one per row value
+    above ``t`` (rows are nonincreasing), so a split meeting ``t``
+    needs ``len(rows)`` wires plus the count of *all* row values above
+    ``t``.  That fits ``width`` exactly when ``t`` is at least the
+    ``(width - len(rows) + 1)``-th largest row value; and no split
+    beats the highest floor.  The least feasible target -- which is the
+    makespan of the split it induces, since that split meets its own
+    maximum -- is therefore the larger of the two, found with one sort
+    instead of enumerating wire splits.
+    """
+    lowest = max(row[-1] for row in rows)
+    spare = width - len(rows)
+    values = sorted(chain.from_iterable(rows), reverse=True)
+    if spare >= len(values):
+        return lowest
+    return max(lowest, values[spare])
 
 
 def cost_model(

@@ -110,11 +110,24 @@ class OptimizeOutcome:
     schedules: dict = field(default_factory=dict)
     #: Cache-effectiveness counters: ``cost_model`` aggregates
     #: :meth:`repro.schedule.model.CostModel.stats` over the width
-    #: sweep; ``evaluations`` counts session-evaluation cache hits and
+    #: sweep (cost-table rows built, row reads served, resident
+    #: cells); ``evaluations`` counts session-evaluation cache hits and
     #: misses (portfolio runs add the shared-cache ``shipped``/
     #: ``merged`` entry counts).  Purely observational -- identical for
     #: identical searches, whatever the worker count.
     cache_stats: dict = field(default_factory=dict)
+    #: Certified floor at the requested width: no schedule of this
+    #: problem totals fewer cycles (see
+    #: :meth:`_PartitionSearch.floor_total`).
+    lower_bound: int = 0
+
+    @property
+    def gap(self) -> float:
+        """How far the best total sits above the certified floor
+        (``total / lower_bound - 1``; 0.0 proves optimality)."""
+        if not self.lower_bound:
+            return 0.0
+        return self.total_cycles / self.lower_bound - 1
 
     @property
     def test_cycles(self) -> int:
@@ -133,7 +146,9 @@ class OptimizeOutcome:
             f"{self.method} on N={self.problem.bus_width}: "
             f"{self.total_cycles} total cycles "
             f"({self.evaluations} session evaluations), "
-            f"{len(self.pareto)}-point Pareto front"
+            f"{len(self.pareto)}-point Pareto front",
+            f"  lower bound {self.lower_bound} cycles, "
+            f"gap {100 * self.gap:.2f}%",
         ]
         for point in self.pareto:
             marker = " *" if point.bus_width == self.problem.bus_width \
@@ -216,16 +231,14 @@ class _PartitionSearch:
             dict(warm) if warm else {}
         )
         self.delta: dict[tuple[int, ...], int] = {}
-        self._min_area: dict[int, int] = {}
+        self._floor: int | None = None
 
     def group_cycles(self, key: tuple[int, ...]) -> int:
         """Makespan of one group under its optimal wire split."""
         cached = self._session_cycles.get(key)
         if cached is None:
-            group = [self.cores[index] for index in key]
-            session = self.model.optimal_session(group)
-            assert session is not None  # callers keep |group| <= width
-            cached = session.cycles
+            cached = self.model.group_makespan(key)
+            assert cached is not None  # callers keep |group| <= width
             self._session_cycles[key] = cached
             self.delta[key] = cached
             self.evaluations += 1
@@ -236,23 +249,6 @@ class _PartitionSearch:
     def snapshot(self) -> "dict[tuple[int, ...], int]":
         """A picklable copy of the evaluation cache (warm start)."""
         return dict(self._session_cycles)
-
-    def min_core_area(self, index: int) -> int:
-        """Smallest wires-times-time area of one core (memoised).
-
-        The admissible per-core work term of the packing bound: no
-        legal allocation tests the core in less bus area.
-        """
-        cached = self._min_area.get(index)
-        if cached is None:
-            core = self.cores[index]
-            limit = self.model.port_width(core)
-            cached = min(
-                wires * self.model.core_cycles(core, wires)
-                for wires in range(1, limit + 1)
-            )
-            self._min_area[index] = cached
-        return cached
 
     def config_of(self, group_sizes) -> int:
         if not self.charge_config:
@@ -276,12 +272,18 @@ class _PartitionSearch:
         return schedule
 
     def floor_total(self) -> int:
-        """Admissible all-in lower bound used for early exit."""
-        floor = self.model.lower_bound()
-        if self.charge_config and self.cores:
-            # At least one session configures every tested core once.
-            floor += self.model.session_config_cycles(len(self.cores))
-        return floor
+        """Admissible all-in lower bound (early exit, reported gap).
+
+        Computed once per search: every engine and restart at this
+        width shares it.
+        """
+        if self._floor is None:
+            floor = self.model.lower_bound()
+            if self.charge_config and self.cores:
+                # At least one session configures every tested core once.
+                floor += self.model.session_config_cycles(len(self.cores))
+            self._floor = floor
+        return self._floor
 
 
 # -- exact search -------------------------------------------------------------
@@ -344,7 +346,7 @@ def _bnb_session_search(search: _PartitionSearch) -> Schedule:
             return incumbent  # greedy already meets the lower bound
         return search.build_schedule(best_groups)
     order = sorted(
-        range(len(cores)), key=lambda i: -model.core_cycles(cores[i], 1)
+        range(len(cores)), key=lambda i: -model.row(i)[0]
     )
     count = len(order)
     # Suffix sums/maxima over the not-yet-assigned tail, by position.
@@ -353,11 +355,10 @@ def _bnb_session_search(search: _PartitionSearch) -> Schedule:
     for position in range(count - 1, -1, -1):
         index = order[position]
         remaining_area[position] = (
-            remaining_area[position + 1] + search.min_core_area(index)
+            remaining_area[position + 1] + model.min_area(index)
         )
         tallest_remaining[position] = max(
-            tallest_remaining[position + 1],
-            model.core_cycles(cores[index], width),
+            tallest_remaining[position + 1], model.row(index)[-1]
         )
     if search.charge_config:
         scc = model.session_config_cycles
@@ -394,7 +395,7 @@ def _bnb_session_search(search: _PartitionSearch) -> Schedule:
         if bound >= best_total:
             return
         core = order[position]
-        area = search.min_core_area(core)
+        area = model.min_area(core)
         for group in groups:
             if len(group) >= width:
                 continue
@@ -497,6 +498,7 @@ def _anneal_from(
     schedules roam, cold ones polish.
     """
     model = search.model
+    width = search.width
     groups: list[list[int]] = [list(group) for group in start_groups]
     current = search.partition_total(
         [tuple(sorted(group)) for group in groups]
@@ -504,7 +506,9 @@ def _anneal_from(
     best_total = current
     best_groups = [tuple(sorted(group)) for group in groups]
     floor = search.floor_total()
-    if best_total <= floor:
+    if best_total <= floor or width == 1:
+        # On one wire every session is a singleton: there is no other
+        # partition to move to.
         return best_total, best_groups
     temperature = max(1.0, 0.05 * current * temperature_scale)
     cooling = (0.01 / temperature) ** (1.0 / max(1, iterations)) \
@@ -544,7 +548,7 @@ def _anneal_from(
             # Target: another group with a free wire, or a new session.
             open_targets = [
                 index for index, group in enumerate(groups)
-                if index != source and len(group) < search.width
+                if index != source and len(group) < width
             ]
             new_session = (not open_targets) or rng.random() < 0.25
             before = group_total(groups[source])
@@ -742,10 +746,13 @@ def _co_optimize(
     evaluations = 0
     model_stats = {"hits": 0, "misses": 0, "entries": 0}
     search_stats = {"hits": 0, "misses": 0}
+    floor = 0
     for width in sorted(sweep):
         model = CostModel(problem.with_width(width))
         search = _PartitionSearch(model, charge_config)
         schedule = engine(search)
+        if width == bus_width:
+            floor = search.floor_total()
         evaluations += search.evaluations
         search_stats["hits"] += search.hits
         search_stats["misses"] += search.evaluations
@@ -770,4 +777,5 @@ def _co_optimize(
             "cost_model": model_stats,
             "evaluations": search_stats,
         },
+        lower_bound=floor,
     )

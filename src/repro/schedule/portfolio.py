@@ -338,7 +338,7 @@ def _strategy_lns(
             kept = [core for core in group if core not in victim_set]
             if kept:
                 stripped.append(kept)
-        victims.sort(key=lambda index: -search.min_core_area(index))
+        victims.sort(key=lambda index: -search.model.min_area(index))
         candidate = _repair(search, stripped, victims)
         total = search.partition_total(_canon(candidate))
         if total <= current_total or rng.random() < 0.1:
@@ -541,6 +541,7 @@ def optimize_portfolio(
                     )
     points: "list[ParetoPoint]" = []
     schedules: "dict[int, Schedule]" = {}
+    floor = 0
     for width in sweep:
         model = CostModel(problem.with_width(width))
         if cores:
@@ -548,6 +549,8 @@ def optimize_portfolio(
                 model, charge_config, warm=dict(caches[width].items())
             )
             schedule = search.build_schedule(best[width][1])
+            if width == bus_width:
+                floor = search.floor_total()
         else:
             schedule = Schedule(bus_width=width)
         schedules[width] = schedule
@@ -574,4 +577,5 @@ def optimize_portfolio(
             "shared_cache": {"shipped": shipped, "merged": merged},
             "certified_widths": certified,
         },
+        lower_bound=floor,
     )

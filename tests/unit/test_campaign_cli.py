@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.campaign.cli import main
 
 SWEEP_ARGS = [
@@ -203,8 +205,57 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         stats = payload["cache_stats"]
-        assert stats["cost_model"]["misses"] > 0
+        model = stats["cost_model"]
+        # Rows are built at most once per core (two) and swept width,
+        # then read many times; every row holds at least one cell.
+        from repro.schedule.optimize import candidate_widths
+
+        widths = len(candidate_widths(payload["bus_width"]))
+        assert 0 < model["misses"] <= 2 * widths
+        assert model["hits"] > model["misses"]
+        assert model["entries"] >= model["misses"]
         assert stats["evaluations"]["misses"] == payload["evaluations"]
+
+    def test_json_and_text_report_the_floor(self, capsys):
+        code = main(["optimize", "small", "--method", "bnb", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        total = payload["pareto"][-1]["total_cycles"]
+        assert 0 < payload["lower_bound"] <= total
+        assert payload["gap"] == total / payload["lower_bound"] - 1
+        assert main(["optimize", "small", "--method", "bnb", "--quiet"]) == 0
+        assert "certified floor" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [
+        ["-w", "0"],
+        ["-w", "x"],
+        ["--jobs", "0"],
+        ["--jobs", "-2"],
+        ["--restarts", "0"],
+        ["--budget", "-1"],
+        ["--budget", "lots"],
+        ["--widths", "x"],
+        ["--widths", "8,0"],
+        ["--widths", ","],
+    ])
+    def test_bad_arguments_exit_2_with_one_error_line(self, capsys, bad):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize", "itc02-d695", "-w", "8", *bad])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert "Traceback" not in captured.err
+
+    def test_zero_budget_parses(self, capsys):
+        """``--budget 0`` is a well-formed count; the anneal ignores it."""
+        code = main([
+            "optimize", "itc02-d695", "-w", "4", "--widths", "4",
+            "--method", "anneal", "--budget", "0", "--quiet",
+        ])
+        assert code == 0
 
     def test_portfolio_json_identical_across_jobs(self, capsys):
         payloads = []

@@ -202,13 +202,122 @@ class TestCacheStats:
         assert stats["cost_model"]["hits"] >= 0
 
     def test_model_stats_counters(self):
+        """Rows built count as misses, row reads of a built row as
+        hits; ``entries`` counts the resident table cells."""
         from repro.schedule.model import CostModel, TamProblem
 
         model = CostModel(TamProblem.of(d695_like()[:3], 8))
         assert model.stats() == {"hits": 0, "misses": 0, "entries": 0}
+        row = model.row(0)
+        assert model.row(0) is row
+        width = model.port_width(model.problem.cores[0])
+        assert len(row) == width
+        assert model.stats() == {"hits": 1, "misses": 1, "entries": width}
+        # The index makespan reads one row per core: one new, one built.
+        model.group_makespan((0, 1))
+        assert model.stats()["misses"] == 2
+        assert model.stats()["hits"] == 2
+
+    def test_closed_form_reads_build_no_rows(self):
+        """The params API (greedy, verify) leaves the table cold."""
+        from repro.schedule.model import CostModel, TamProblem
+
+        model = CostModel(TamProblem.of(d695_like()[:3], 8))
         model.core_cycles(model.problem.cores[0], 4)
-        model.core_cycles(model.problem.cores[0], 4)
-        assert model.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        assert model.stats() == {"hits": 0, "misses": 0, "entries": 0}
+
+
+#: ``co_optimize`` outcomes at seed 0 with the CLI's ``cas_policy=None``,
+#: recorded before the optimiser moved onto dense cost rows: total
+#: cycles, session evaluations, and the Pareto front as
+#: ``(bus_width, config_bits, test_cycles, config_cycles, sessions)``.
+_PINNED_OUTCOMES = {
+    ("itc02-d695", 16, "bnb"): (82781, 819, [
+        (1, 20, 1283038, 450, 10),
+        (2, 20, 642216, 450, 10),
+        (4, 48, 321833, 1010, 10),
+        (8, 32, 162454, 492, 7),
+        (16, 37, 82447, 334, 4),
+    ]),
+    ("itc02-p22810", 32, "anneal"): (107018, 13458, [
+        (1, 56, 3111136, 3276, 28),
+        (2, 56, 1558454, 2820, 24),
+        (4, 123, 781973, 5540, 22),
+        (8, 107, 396584, 3108, 14),
+        (16, 119, 204588, 2244, 9),
+        (32, 150, 105424, 1594, 5),
+    ]),
+    ("itc02-p93791", 32, "anneal"): (406815, 90395, [
+        (1, 220, 11820503, 48950, 110),
+        (2, 220, 5925013, 33922, 76),
+        (4, 469, 2978124, 47330, 50),
+        (8, 459, 1503384, 34370, 37),
+        (16, 518, 770167, 22128, 21),
+        (32, 598, 392109, 14706, 12),
+    ]),
+}
+
+
+class TestPinnedOutcomes:
+    """Cost-table changes must only change speed, never schedules."""
+
+    @pytest.mark.parametrize(
+        "workload, width, method", sorted(_PINNED_OUTCOMES),
+        ids=lambda value: str(value),
+    )
+    def test_outcome_unchanged(self, workload, width, method):
+        from repro.api.workloads import get_workload
+
+        total, evaluations, pareto = _PINNED_OUTCOMES[
+            (workload, width, method)
+        ]
+        outcome = co_optimize(
+            get_workload(workload).cores, width, method=method,
+            cas_policy=None, seed=0,
+        )
+        assert outcome.total_cycles == total
+        assert outcome.evaluations == evaluations
+        assert [
+            (point.bus_width, point.config_bits, point.test_cycles,
+             point.config_cycles, point.sessions)
+            for point in outcome.pareto
+        ] == pareto
+
+
+class TestCertifiedFloor:
+    def test_outcome_reports_floor_and_gap(self):
+        outcome = optimize_anneal(g1023_like(), 16, iterations=300)
+        assert 0 < outcome.lower_bound <= outcome.total_cycles
+        assert outcome.gap == pytest.approx(
+            outcome.total_cycles / outcome.lower_bound - 1
+        )
+        assert "lower bound" in outcome.describe()
+
+    def test_empty_problem_has_zero_gap(self):
+        outcome = optimize_bnb([], 4)
+        assert outcome.lower_bound == 0
+        assert outcome.gap == 0.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_cores=st.integers(1, 7),
+        width=st.integers(1, 8),
+        charge_config=st.booleans(),
+    )
+    def test_no_engine_beats_the_floor(self, seed, num_cores, width,
+                                       charge_config):
+        cores = random_test_params(seed, num_cores=num_cores)
+        for method, options in (
+            ("bnb", {}),
+            ("anneal", {"iterations": 150}),
+            ("portfolio", {"budget": 150}),
+        ):
+            outcome = co_optimize(
+                cores, width, method=method, widths=(width,),
+                charge_config=charge_config, **options,
+            )
+            assert outcome.lower_bound <= outcome.total_cycles, method
 
 
 class TestCoOptimize:

@@ -142,6 +142,70 @@ class TestOptimalSession:
         assert session.cycles == best
         assert session.wires_used <= width
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    _scan,
+                    name=st.just("s"),
+                    flops=st.integers(0, 300),
+                    patterns=st.integers(0, 40),
+                    max_wires=st.integers(1, 6),
+                ),
+                st.builds(_bist, name=st.just("b"),
+                          cycles=st.integers(0, 5_000)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_index_makespan_matches_brute_force(self, cores, width, data):
+        """``group_makespan`` == ``optimal_session(...).cycles`` == the
+        best of every wire split, BIST and over-wide groups included."""
+        model = cost_model(cores, width)
+        indices = sorted(data.draw(
+            st.sets(st.integers(0, len(cores) - 1), min_size=1),
+            label="group",
+        ))
+        group = [model.problem.cores[index] for index in indices]
+        makespan = model.group_makespan(indices)
+        session = model.optimal_session(group)
+        if len(group) > width:
+            assert makespan is None and session is None
+            return
+        options = [
+            range(1, min(core.max_wires, width) + 1) for core in group
+        ]
+        brute = min(
+            max(core_test_cycles(core, wires)
+                for core, wires in zip(group, split))
+            for split in itertools.product(*options)
+            if sum(split) <= width
+        )
+        assert session is not None
+        assert makespan == session.cycles == brute
+        assert session.wires_used <= width
+
+    def test_rows_are_lazy_and_match_the_closed_form(self):
+        cores = d695_like()[:4]
+        model = cost_model(cores, 8)
+        assert model.stats()["entries"] == 0
+        for index, core in enumerate(model.problem.cores):
+            row = model.row(index)
+            assert len(row) == model.port_width(core)
+            assert row == tuple(
+                core_test_cycles(core, wires)
+                for wires in range(1, len(row) + 1)
+            )
+
+    def test_foreign_core_rejected(self):
+        model = cost_model(d695_like()[:2], 8)
+        with pytest.raises(ScheduleError, match="not part"):
+            model.optimal_session([_scan("stranger", 10, 2, 2)])
+
     def test_infeasible_group_returns_none(self):
         model = cost_model([_scan(f"c{i}", 10, 2, 1) for i in range(4)], 2)
         assert model.optimal_session(model.problem.cores) is None
